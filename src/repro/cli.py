@@ -137,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidate-source",
         choices=list(CANDIDATE_SOURCES),
         default="auto",
-        help="candidate generation path: 'loop' scores per candidate, "
-        "'vectorized' runs the filter cascade over corpus-level matrix "
-        "planes, 'vptree'/'ifi' prune candidates through a BDist metric "
-        "index first, 'auto' vectorizes when a feature store is available",
+        help="candidate generation path: 'loop' runs the filter cascade "
+        "row by row, 'vectorized' over corpus-level matrix planes, "
+        "'vptree'/'ifi' prune candidates through a BDist metric index "
+        "first, 'auto' vectorizes when a feature store is available",
     )
     search.add_argument(
         "--stats-json",
@@ -713,38 +713,18 @@ def _cmd_search(args) -> int:
                 from repro.search.database import TreeDatabase
 
                 database = TreeDatabase(trees, flt=_FILTERS[args.filter]())
-                matrices = (
-                    None
-                    if args.candidate_source == "loop"
-                    else database.matrices()
+                matrices, index = database.resolve_candidate_source(
+                    args.candidate_source
                 )
-                if (
-                    args.candidate_source not in ("auto", "loop")
-                    and matrices is None
-                ):
-                    print(
-                        f"repro: error: filter {args.filter!r} has no "
-                        "feature store for candidate source "
-                        f"{args.candidate_source!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                index = (
-                    database.candidate_index(args.candidate_source)
-                    if args.candidate_source in INDEX_KINDS
-                    else None
+                search, parameter = (
+                    (range_query, args.range_threshold)
+                    if args.range_threshold is not None
+                    else (knn_query, args.knn_k)
                 )
-                flt = database.filter
-                if args.range_threshold is not None:
-                    matches, stats = range_query(
-                        trees, query, args.range_threshold, flt,
-                        database.counter, matrices=matrices, index=index,
-                    )
-                else:
-                    matches, stats = knn_query(
-                        trees, query, args.knn_k, flt,
-                        database.counter, matrices=matrices, index=index,
-                    )
+                matches, stats = search(
+                    trees, query, parameter, database.filter,
+                    database.counter, matrices=matrices, index=index,
+                )
     finally:
         if tracer is not None:
             set_tracer(None)

@@ -41,9 +41,16 @@ if TYPE_CHECKING:  # import cycle: features.store fits via filter signatures
     from repro.features.matrix import FeatureMatrices
     from repro.features.store import FeatureStore
 
-__all__ = ["LowerBoundFilter", "Signature"]
+__all__ = ["LowerBoundFilter", "RowStage", "Signature"]
 
 Signature = TypeVar("Signature")
+
+#: One stage of the range cascade: ``(query, τ, rows, matrices)`` → the
+#: survivors of ``rows``; ``matrices=None`` runs the stage per row.
+RowStage = Callable[
+    [Signature, float, Sequence[int], Optional["FeatureMatrices"]],
+    Sequence[int],
+]
 
 
 class LowerBoundFilter(ABC, Generic[Signature]):
@@ -192,17 +199,18 @@ class LowerBoundFilter(ABC, Generic[Signature]):
     # Vectorized (matrix-plane) candidate generation
     # ------------------------------------------------------------------
     def lower_bounds_matrix(
-        self, query: Signature, matrices: "FeatureMatrices"
+        self, query: Signature, matrices: Optional["FeatureMatrices"]
     ) -> Optional[Sequence[float]]:
         """Per-row lower bounds against *every* indexed tree, or ``None``.
 
         Filters whose numeric bound is exactly computable from a
         corpus-level :class:`~repro.features.matrix.MatrixPlane` override
         this to return one value per tree (equal, row by row, to
-        ``bound(query, data_signature(row))``).  ``None`` means "no exact
-        vectorized bound" and callers fall back to :meth:`bounds` — knn
-        ordering must never use an approximation, or optimal-stopping
-        refined-candidate counts would drift from the reference path.
+        ``bound(query, data_signature(row))``).  ``None`` — always the
+        answer for ``matrices=None`` — means "no exact vectorized bound";
+        :func:`~repro.search.ordering.ascending_bounds` then bounds row by
+        row.  knn ordering must never use an approximation, or
+        optimal-stopping refined-candidate counts would drift.
         """
         return None
 
@@ -211,17 +219,20 @@ class LowerBoundFilter(ABC, Generic[Signature]):
         query: Signature,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Survivors of ``rows`` — exactly those :meth:`refutes` keeps.
 
-        The vectorized range cascade shrinks the active-row set through
-        each funnel stage with this method.  Overrides may prescreen
-        with matrix kernels, but the contract is strict set equality
-        with the per-candidate loop: ``refute_rows(q, t, rows, m) ==
+        The range cascade shrinks the active-row set through each funnel
+        stage with this method.  Overrides may prescreen with matrix
+        kernels, but the contract is strict set equality with the
+        per-candidate loop: ``refute_rows(q, t, rows, m) ==
         [i for i in rows if not refutes(q, sig[i], t)]`` — pinned by the
         ``search:vectorized-equivalence`` oracle.  This default *is*
-        that loop, so every filter is cascade-correct out of the box.
+        that loop, so every filter is cascade-correct out of the box;
+        overrides fall back to it whenever a kernel raises
+        :class:`~repro.exceptions.InvalidParameterError`, which every
+        kernel does for ``matrices=None`` (the loop run).
         """
         signatures = self._signatures
         return [
@@ -230,36 +241,29 @@ class LowerBoundFilter(ABC, Generic[Signature]):
             if not self.refutes(query, signatures[index], threshold)
         ]
 
-    def matrix_funnel_components(
-        self,
-    ) -> List[
-        Tuple[
-            str,
-            Callable[
-                [Signature, float, Sequence[int], "FeatureMatrices"],
-                Sequence[int],
-            ],
-        ]
-    ]:
-        """Vectorized counterpart of :meth:`funnel_components`.
+    def matrix_funnel_components(self) -> List[Tuple[str, RowStage[Signature]]]:
+        """The range cascade: one ``(name, refute_rows)`` pair per stage.
 
-        Same stage names, same pruning attribution — each stage maps the
-        active-row set to its survivors, so funnel telemetry comes from
-        ``len(rows)`` before/after instead of per-candidate counting.
+        :func:`~repro.search.range_query.range_query` runs exactly these
+        stages, with or without matrix planes.  Default: the filter is a
+        single stage; composites expose one stage per sub-filter, so
+        funnel telemetry attributes pruning to the component that did it
+        (counted as ``len(rows)`` before/after each stage).
         """
         return [(self.name, self.refute_rows)]
 
     def funnel_components(
         self,
     ) -> List[Tuple[str, Callable[[Signature, Signature, float], bool]]]:
-        """Per-stage ``(name, refute)`` decomposition for funnel telemetry.
+        """Per-candidate ``(name, refute)`` counterpart of the cascade.
 
         Each ``refute(query_signature, data_signature, threshold)`` callable
-        operates on this filter's *full* signature objects.  Default: the
-        filter is a single funnel stage; composites override this to expose
-        one stage per sub-filter, so the observability layer can attribute
-        pruning to the component that did it.  Applying the stages as a
-        cascade must refute exactly the candidates :meth:`refutes` refutes.
+        operates on this filter's *full* signature objects, with the same
+        stage names as :meth:`matrix_funnel_components`.  The search path
+        never calls this: it is the independent recount the
+        ``obs:funnel-consistency`` oracle checks the funnel telemetry
+        against.  Applying the stages as a cascade must refute exactly the
+        candidates :meth:`refutes` refutes.
         """
         return [(self.name, self.refutes)]
 

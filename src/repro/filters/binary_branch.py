@@ -105,7 +105,7 @@ class BinaryBranchFilter(LowerBoundFilter[PositionalProfile]):
         query: PositionalProfile,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Vectorized count-L1 prescreen, then the exact positional test.
 
@@ -192,7 +192,7 @@ class BranchCountFilter(LowerBoundFilter[PackedVector]):
         return -(-query.l1_distance(data) // self.factor)
 
     def lower_bounds_matrix(
-        self, query: PackedVector, matrices: "FeatureMatrices"
+        self, query: PackedVector, matrices: Optional["FeatureMatrices"]
     ) -> Optional[Sequence[float]]:
         """Exact per-row ``⌈L1/factor⌉`` from the branch plane.
 
@@ -212,7 +212,7 @@ class BranchCountFilter(LowerBoundFilter[PackedVector]):
         query: PackedVector,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         try:
             bounds = branch_count_bounds(

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvalidParameterError
 from repro.features.matrix import elementwise_max, keep_at_most, size_bounds
-from repro.filters.base import LowerBoundFilter
+from repro.filters.base import LowerBoundFilter, RowStage
 from repro.trees.node import TreeNode
 
 if TYPE_CHECKING:
@@ -41,7 +41,7 @@ class SizeDifferenceFilter(LowerBoundFilter[int]):
         return abs(query - data)
 
     def lower_bounds_matrix(
-        self, query: int, matrices: "FeatureMatrices"
+        self, query: int, matrices: Optional["FeatureMatrices"]
     ) -> Optional[Sequence[float]]:
         try:
             return size_bounds(matrices, query, None)
@@ -53,7 +53,7 @@ class SizeDifferenceFilter(LowerBoundFilter[int]):
         query: int,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         try:
             bounds = size_bounds(matrices, query, rows)
@@ -126,7 +126,7 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
         )
 
     def lower_bounds_matrix(
-        self, query: CompositeSignature, matrices: "FeatureMatrices"
+        self, query: CompositeSignature, matrices: Optional["FeatureMatrices"]
     ) -> Optional[Sequence[float]]:
         """Elementwise max of the children's exact vectorized bounds.
 
@@ -169,7 +169,7 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
         query: CompositeSignature,
         threshold: float,
         rows: Sequence[int],
-        matrices: "FeatureMatrices",
+        matrices: Optional["FeatureMatrices"],
     ) -> Sequence[int]:
         """Cascade the children over a shrinking row set.
 
@@ -183,32 +183,16 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
 
     def matrix_funnel_components(
         self,
-    ) -> List[
-        Tuple[
-            str,
-            Callable[
-                [CompositeSignature, float, Sequence[int], "FeatureMatrices"],
-                Sequence[int],
-            ],
-        ]
-    ]:
-        """Vectorized cascade, one stage per sub-filter (names as loop path)."""
-        components: List[
-            Tuple[
-                str,
-                Callable[
-                    [CompositeSignature, float, Sequence[int], "FeatureMatrices"],
-                    Sequence[int],
-                ],
-            ]
-        ] = []
+    ) -> List[Tuple[str, RowStage[CompositeSignature]]]:
+        """The range cascade, one stage per sub-filter (position-prefixed)."""
+        components: List[Tuple[str, RowStage[CompositeSignature]]] = []
         for position, child in enumerate(self.filters):
 
             def refute_rows(
                 query: CompositeSignature,
                 threshold: float,
                 rows: Sequence[int],
-                matrices: "FeatureMatrices",
+                matrices: Optional["FeatureMatrices"],
                 _child: LowerBoundFilter[Any] = child,
                 _position: int = position,
             ) -> Sequence[int]:
@@ -227,10 +211,11 @@ class MaxCompositeFilter(LowerBoundFilter[CompositeSignature]):
     ]:
         """One funnel stage per sub-filter, applied as a cascade.
 
-        Stage names are position-prefixed so two children of the same class
-        stay distinguishable.  A candidate surviving every stage survives
-        :meth:`refutes` and vice versa (refutation is an ``any`` over the
-        children), so the cascade's final survivor set is identical.
+        Stage names are position-prefixed (as in the range cascade) so two
+        children of the same class stay distinguishable.  A candidate
+        surviving every stage survives :meth:`refutes` and vice versa
+        (refutation is an ``any`` over the children), so the cascade's
+        final survivor set is identical.
         """
         components: List[
             Tuple[

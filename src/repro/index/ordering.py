@@ -1,8 +1,8 @@
 """Lazy exact ``(bound, row)`` ordering on top of an ascending index stream.
 
-The k-NN search (:mod:`repro.search.knn`, the Seidl–Kriegel optimal
-multi-step algorithm) consumes database rows in ascending ``(filter
-bound, row)`` order.  The reference path materializes every bound and
+The k-NN search (the Seidl–Kriegel optimal multi-step algorithm; every
+k-NN path takes its scan from :func:`repro.search.ordering.ascending_bounds`)
+consumes database rows in ascending ``(filter bound, row)`` order.  The reference path materializes every bound and
 sorts; a candidate index instead yields rows in ascending *BDist* order,
 and for filters whose bound dominates the count bound —
 
@@ -28,7 +28,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 from repro.features.packed import PackedVector
 from repro.index.base import CandidateIndex
 
-__all__ = ["AscendingCountBounds", "OrderedBoundStream"]
+__all__ = ["OrderedBoundStream"]
 
 
 class OrderedBoundStream:
@@ -85,38 +85,3 @@ class OrderedBoundStream:
                 return
             yield heappop(pending)
 
-
-class AscendingCountBounds:
-    """Iterate ``(⌈L1/factor⌉, row)`` in exact ``(bound, row)`` order.
-
-    The count bound is a monotone function of L1, so the index's
-    ascending stream is already sorted by it — but rows inside one
-    count-bound plateau arrive in L1-then-heap order, not row order.
-    Buffering each plateau and sorting it by row restores the reference
-    ``sorted(rows, key=(bound, row))`` sequence exactly, which is what
-    the tiered k-NN's optimal stopping and funnel accounting replay.
-    ``scored`` counts rows actually pulled off the index stream.
-    """
-
-    def __init__(self, index: CandidateIndex, vector: PackedVector) -> None:
-        self._stream = index.ascending(vector)
-        self._factor = index.factor
-        self.scored = 0
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        factor = self._factor
-        group: List[int] = []
-        group_bound = 0
-        for l1, row in self._stream:
-            bound = -(-l1 // factor)
-            if group and bound != group_bound:
-                group.sort()
-                for buffered in group:
-                    yield group_bound, buffered
-                group = []
-            group_bound = bound
-            group.append(row)
-            self.scored += 1
-        group.sort()
-        for buffered in group:
-            yield group_bound, buffered

@@ -207,6 +207,38 @@ class TreeDatabase:
             self._candidate_indexes[kind] = index
         return index
 
+    def resolve_candidate_source(
+        self, source: str
+    ) -> Tuple[Optional["FeatureMatrices"], Optional["CandidateIndex"]]:
+        """The ``(matrices, index)`` a ``candidate_source`` searches with.
+
+        ``"loop"`` → ``(None, None)``; ``"auto"`` → the matrix planes when
+        a feature store backs the database (else none); ``"vectorized"``
+        → the planes; ``"vptree"`` / ``"ifi"`` → the planes plus that
+        :meth:`candidate_index`, built here so a first query does not pay
+        for it.  Raises :class:`InvalidParameterError` for an unknown
+        source, and for any source but ``auto``/``loop`` on a database
+        without a feature store.
+        """
+        from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
+
+        if source not in CANDIDATE_SOURCES:
+            raise InvalidParameterError(
+                f"candidate_source must be one of {CANDIDATE_SOURCES}, "
+                f"got {source!r}"
+            )
+        if source == "loop":
+            return None, None
+        matrices = self.matrices()
+        if matrices is None and source != "auto":
+            raise InvalidParameterError(
+                f"candidate_source={source!r} requires a database backed by "
+                "a feature store (store-less prefitted filters have no "
+                "matrix planes)"
+            )
+        index = self.candidate_index(source) if source in INDEX_KINDS else None
+        return matrices, index
+
     @property
     def inverted_index(self) -> InvertedFileIndex:
         """The inverted file index (built lazily on first access)."""

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import QueryError
-from repro.features.matrix import FeatureMatrices, stable_order
+from repro.features.matrix import FeatureMatrices
 from repro.filters.base import LowerBoundFilter
 from repro.obs import tracing
-from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
+from repro.obs.funnel import FilterFunnel, active_sink
+from repro.search.ordering import ascending_bounds
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
@@ -55,22 +56,11 @@ def knn_query(
     the first-processed object, like the paper's Algorithm 2 (heap
     replacement only on strictly better keys at capacity).
 
-    With ``matrices``, the ordering pass uses the filter's exact
-    vectorized bounds (:meth:`LowerBoundFilter.lower_bounds_matrix`)
-    when available — the values are identical to :meth:`bounds`, so the
-    optimal-stopping refined-candidate count cannot drift; filters
-    without an exact kernel fall back to the per-candidate loop.
-
-    With ``index`` (a :class:`~repro.index.base.CandidateIndex` over the
-    same corpus) and a :attr:`~LowerBoundFilter.bdist_dominant` filter at
-    the index's q level, the ordering pass is replaced by a lazy
-    reordering of the index's ascending-BDist stream
-    (:class:`~repro.index.ordering.OrderedBoundStream`): rows are scored
-    on demand and emitted in the **exact** reference ``(bound, row)``
-    order, so answers and refined counts are bit-identical while the
-    number of scored rows shrinks to what optimal stopping actually
-    consumes.  Non-dominating filters ignore the index (full ordering
-    pass) — dominance is what makes lazy emission sound.
+    The ascending ``(bound, row)`` scan comes from
+    :func:`~repro.search.ordering.ascending_bounds` — lazily off
+    ``index`` when sound, else over ``matrices``, else row by row — in
+    the exact reference order for every source, so answers and refined
+    counts are bit-identical across sources.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -84,49 +74,11 @@ def knn_query(
         counter = EditDistanceCounter()
     stats = SearchStats(dataset_size=len(trees))
 
-    use_index = (
-        index is not None
-        and flt.bdist_dominant
-        and getattr(flt, "q", None) == index.q
-    )
-    stream = None
-    sink = active_sink()
     with tracing.span(
         "search.knn", dataset_size=len(trees), k=k, filter=flt.name
     ) as root:
         start = time.perf_counter()
-        if use_index:
-            assert index is not None
-            with tracing.span(f"index.{index.kind}"):
-                index.sync()
-                from repro.index.ordering import OrderedBoundStream
-
-                query_signature = flt.signature(query)
-                stream = OrderedBoundStream(
-                    index,
-                    lambda row: flt.bound(
-                        query_signature, flt.data_signature(row)
-                    ),
-                    index.pack(query),
-                )
-                scan: Iterable[Tuple[float, int]] = stream
-        else:
-            with tracing.span(f"filter.{flt.name}"):
-                vectorized = None
-                if matrices is not None:
-                    vectorized = flt.lower_bounds_matrix(
-                        flt.signature(query), matrices
-                    )
-                if vectorized is not None:
-                    bounds: Sequence[float] = vectorized
-                    order = stable_order(vectorized)
-                else:
-                    bounds = flt.bounds(query)
-                    order = sorted(
-                        range(len(trees)),
-                        key=lambda row: (bounds[row], row),
-                    )
-                scan = ((bounds[row], row) for row in order)
+        scan = ascending_bounds(flt, query, len(trees), matrices, index)
         stats.filter_seconds = time.perf_counter() - start
 
         # max-heap of (−distance, −index) so the worst current neighbor is on top
@@ -149,30 +101,14 @@ def knn_query(
         stats.results = len(heap)
         root.set(candidates=refined, results=len(heap))
 
+    sink = active_sink()
     if sink is not None or tracing.enabled():
-        # the ordering pass bounds every object but prunes none; pruning
-        # happens implicitly through the optimal-stopping refinement.
-        # On the index path only `stream.scored` rows were ever bounded —
-        # the stage survivors record that laziness win.
-        if stream is not None:
-            assert index is not None
-            order_stage = FunnelStage(
-                f"index:{index.kind}",
-                len(trees),
-                stream.scored,
-                stats.filter_seconds,
-            )
-        else:
-            order_stage = FunnelStage(
-                f"order:{flt.name}",
-                len(trees),
-                len(trees),
-                stats.filter_seconds,
-            )
+        # the ordering pass bounds rows but prunes none; pruning happens
+        # implicitly through the optimal-stopping refinement
         stats.funnel = FilterFunnel(
             kind="knn",
             corpus_size=len(trees),
-            stages=[order_stage],
+            stages=[scan.stage(stats.filter_seconds)],
             refined=refined,
             results=len(heap),
             refine_seconds=stats.refine_seconds,

@@ -6,12 +6,18 @@ query.  Filtering discards objects whose lower bound already exceeds ``τ``
 the exact Zhang–Shasha distance.  Completeness is guaranteed by the
 lower-bound property — there are no false negatives by construction, which
 the integration tests verify against a sequential scan.
+
+Filtering is one cascade of ``rows → rows`` stages — an optional index
+probe, then the filter's ``matrix_funnel_components`` — and every stage is
+timed into a span and a :class:`~repro.obs.funnel.FunnelStage` the same
+way, whichever candidate source runs it.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import QueryError
@@ -25,7 +31,36 @@ from repro.trees.node import TreeNode
 if TYPE_CHECKING:  # import cycle: repro.index builds on the search layer's deps
     from repro.index.base import CandidateIndex
 
-__all__ = ["range_query"]
+__all__ = ["check_threshold", "range_query"]
+
+
+def check_threshold(threshold: float) -> None:
+    """Reject a range ``τ`` that is negative, infinite or NaN."""
+    if not math.isfinite(threshold) or threshold < 0:
+        raise QueryError(
+            f"range threshold must be finite and >= 0, got {threshold}"
+        )
+
+
+def _run_stage(
+    stages: List[FunnelStage],
+    name: str,
+    span_name: str,
+    rows: Sequence[int],
+    stage: Callable[[Sequence[int]], Sequence[int]],
+) -> Sequence[int]:
+    """One cascade stage over ``rows``: its span and its funnel stage."""
+    with tracing.span(span_name) as stage_span:
+        start = time.perf_counter()
+        survivors = stage(rows)
+        seconds = time.perf_counter() - start
+        stages.append(FunnelStage(name, len(rows), len(survivors), seconds))
+        stage_span.set(
+            entered=len(rows),
+            survivors=len(survivors),
+            refuted=len(rows) - len(survivors),
+        )
+    return survivors
 
 
 def range_query(
@@ -54,21 +89,24 @@ def range_query(
         Optional shared :class:`EditDistanceCounter` (reuses prepared trees
         across queries and accumulates the distance-computation count).
     matrices:
-        Optional corpus-level matrix planes over the same trees.  When
-        given, the filter cascade runs vectorized (each funnel stage maps
-        the active-row set to its survivors via matrix kernels) instead
-        of per candidate — same survivor set, same stage names, same
-        funnel invariants; the loop below stays the reference
-        implementation.
+        Optional corpus-level matrix planes over the same trees.  The
+        cascade is the same either way — ``rows = refute_rows(signature,
+        τ, rows, matrices)`` for each ``flt.matrix_funnel_components()``
+        stage — but with planes each stage prescreens with matrix
+        kernels, while ``matrices=None`` (the loop run) has every stage
+        test row by row: the kernels refuse ``None`` and each filter
+        falls back to its per-row loop.  Survivors, stage names and
+        funnel counts are identical.
     index:
         Optional :class:`~repro.index.base.CandidateIndex` over the same
-        corpus.  When given, candidate generation starts from the exact
-        BDist ball ``{row : BDist ≤ factor·τ}`` (one sublinear index
-        probe, reported as a leading ``index:<kind>`` funnel stage) and
-        the filter cascade runs over the ball only.  Answers are
-        unchanged for *any* filter: a row outside the ball has
-        ``EDist > τ`` by Theorem 3.2, so restricting the cascade to the
-        ball removes only rows refinement would reject — pinned by the
+        corpus.  Its probe is the cascade's leading stage (reported as
+        ``index:<kind>``): the exact BDist ball ``{row : BDist ≤
+        factor·τ / c_min}``, with ``c_min`` the counter's
+        ``min_operation_cost``.  Answers are unchanged for *any* filter
+        and cost model: ``EDist ≤ τ`` implies at most ``τ / c_min`` edit
+        operations, so a row outside the ball has ``EDist > τ`` by
+        Theorem 3.2 and restricting the cascade to the ball removes only
+        rows refinement would reject — pinned by the
         ``search:index-completeness`` oracle.
 
     Returns
@@ -77,8 +115,7 @@ def range_query(
         ``matches`` — ``(index, distance)`` pairs in index order;
         ``stats`` — filtering/refinement metrics for this query.
     """
-    if threshold < 0:
-        raise QueryError(f"range threshold must be >= 0, got {threshold}")
+    check_threshold(threshold)
     if flt.size != len(trees):
         raise QueryError(
             f"filter indexed {flt.size} trees but the database has {len(trees)}"
@@ -87,103 +124,31 @@ def range_query(
         counter = EditDistanceCounter()
     stats = SearchStats(dataset_size=len(trees))
 
-    sink = active_sink()
-    observing = sink is not None or tracing.enabled()
+    stages: List[FunnelStage] = []
     with tracing.span(
         "search.range", dataset_size=len(trees), threshold=threshold,
         filter=flt.name,
     ) as root:
-        stages: List[FunnelStage] = []
         start = time.perf_counter()
-        domain: Sequence[int] = range(len(trees))
-        if index is not None:
-            index.sync()
-            with tracing.span(
-                f"index.{index.kind}", budget=index.factor * threshold
-            ) as index_span:
-                stage_start = time.perf_counter()
-                domain = index.range_rows(
-                    index.pack(query), index.factor * threshold
-                )
-                stage_seconds = time.perf_counter() - stage_start
-                index_span.set(
-                    entered=len(trees),
-                    survivors=len(domain),
-                    examined=index.last_examined,
-                )
-            if observing:
-                stages.append(
-                    FunnelStage(
-                        f"index:{index.kind}",
-                        len(trees),
-                        len(domain),
-                        stage_seconds,
-                    )
-                )
         with tracing.span("search.filter"):
+            rows: Sequence[int] = range(len(trees))
+            if index is not None:
+                index.sync()
+                radius = index.factor * threshold / counter.costs.min_operation_cost
+                rows = _run_stage(
+                    stages, f"index:{index.kind}", f"index.{index.kind}", rows,
+                    lambda _: index.range_rows(index.pack(query), radius),
+                )
+                root.set(examined=index.last_examined)
             query_signature = flt.signature(query)
-            if matrices is not None:
-                rows: Sequence[int] = domain
-                if not observing:
-                    for _, refute_rows in flt.matrix_funnel_components():
-                        rows = refute_rows(
-                            query_signature, threshold, rows, matrices
-                        )
-                else:
-                    for name, refute_rows in flt.matrix_funnel_components():
-                        with tracing.span(f"filter.{name}") as stage_span:
-                            entered = len(rows)
-                            stage_start = time.perf_counter()
-                            rows = refute_rows(
-                                query_signature, threshold, rows, matrices
-                            )
-                            stage_seconds = time.perf_counter() - stage_start
-                            stages.append(
-                                FunnelStage(
-                                    name, entered, len(rows), stage_seconds
-                                )
-                            )
-                            stage_span.set(
-                                entered=entered,
-                                survivors=len(rows),
-                                refuted=entered - len(rows),
-                            )
-                survivors = as_indices(rows)
-            elif not observing:
-                survivors = [
-                    row
-                    for row in domain
-                    if not flt.refutes(
-                        query_signature, flt.data_signature(row), threshold
-                    )
-                ]
-            else:
-                # staged cascade: same survivor set as the one-pass
-                # `refutes` (refutation is an `any` over the stages), but
-                # pruning is attributed to the stage that did it
-                survivors = list(domain)
-                for name, refute in flt.funnel_components():
-                    with tracing.span(f"filter.{name}") as stage_span:
-                        entered = len(survivors)
-                        stage_start = time.perf_counter()
-                        survivors = [
-                            index
-                            for index in survivors
-                            if not refute(
-                                query_signature,
-                                flt.data_signature(index),
-                                threshold,
-                            )
-                        ]
-                        stage_seconds = time.perf_counter() - stage_start
-                        stages.append(
-                            FunnelStage(name, entered, len(survivors), stage_seconds)
-                        )
-                        stage_span.set(
-                            entered=entered,
-                            survivors=len(survivors),
-                            refuted=entered - len(survivors),
-                        )
+            for name, refute_rows in flt.matrix_funnel_components():
+                rows = _run_stage(
+                    stages, name, f"filter.{name}", rows,
+                    lambda active: refute_rows(
+                        query_signature, threshold, active, matrices
+                    ),
+                )
+            survivors = as_indices(rows)
         stats.filter_seconds = time.perf_counter() - start
 
         matches: List[Tuple[int, float]] = []
@@ -199,7 +164,8 @@ def range_query(
         stats.results = len(matches)
         root.set(candidates=len(survivors), results=len(matches))
 
-    if observing:
+    sink = active_sink()
+    if sink is not None or tracing.enabled():
         stats.funnel = FilterFunnel(
             kind="range",
             corpus_size=len(trees),

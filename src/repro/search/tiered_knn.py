@@ -31,21 +31,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.core.positional import PositionalProfile, search_lower_bound
-from repro.core.qlevel import qlevel_bound_factor
 from repro.editdist.zhang_shasha import EditDistanceCounter
 from repro.exceptions import InvalidParameterError, QueryError
-from repro.features.matrix import (
-    FeatureMatrices,
-    branch_l1_counts,
-    ceil_div,
-    stable_order,
-)
+from repro.features.matrix import FeatureMatrices, branch_l1_counts, ceil_div
+from repro.filters.base import LowerBoundFilter
 from repro.filters.binary_branch import BinaryBranchFilter
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
+from repro.search.ordering import ascending_bounds
 from repro.search.statistics import SearchStats
 from repro.trees.node import TreeNode
 
@@ -55,16 +51,53 @@ if TYPE_CHECKING:  # import cycle: repro.index builds on the search layer's deps
 __all__ = ["tiered_knn_query"]
 
 
-def _count_bound(query: PositionalProfile, data: PositionalProfile, factor: int) -> float:
-    distance = 0
-    mine, theirs = query.pre_positions, data.pre_positions
-    for key, positions in mine.items():
-        other = theirs.get(key)
-        distance += abs(len(positions) - (0 if other is None else len(other)))
-    for key, positions in theirs.items():
-        if key not in mine:
-            distance += len(positions)
-    return -(-distance // factor)
+class _CountTier(LowerBoundFilter[PositionalProfile]):
+    """The cheap tier: ``flt``'s profiles bounded by ``⌈BDist/factor⌉``.
+
+    Each profile's branch counts are the lengths of its positional lists,
+    so this bound *is* the count bound: dominance holds with equality
+    (the index stream is sound for it) and the branch plane computes it
+    exactly.
+    """
+
+    name = "count-bound"
+    bdist_dominant = True
+
+    def __init__(self, flt: BinaryBranchFilter) -> None:
+        super().__init__()
+        self._flt = flt
+        self.q = flt.q
+        self.factor = flt.factor
+
+    def signature(self, tree: TreeNode) -> PositionalProfile:
+        return self._flt.signature(tree)
+
+    def data_signature(self, index: int) -> PositionalProfile:
+        return self._flt.data_signature(index)
+
+    def bound(self, query: PositionalProfile, data: PositionalProfile) -> float:
+        distance = 0
+        mine, theirs = query.pre_positions, data.pre_positions
+        for key, positions in mine.items():
+            other = theirs.get(key)
+            distance += abs(len(positions) - (0 if other is None else len(other)))
+        for key, positions in theirs.items():
+            if key not in mine:
+                distance += len(positions)
+        return -(-distance // self.factor)
+
+    def lower_bounds_matrix(
+        self, query: PositionalProfile, matrices: Optional[FeatureMatrices]
+    ) -> Optional[Sequence[float]]:
+        counts = {
+            branch: len(positions)
+            for branch, positions in query.pre_positions.items()
+        }
+        try:
+            distances = branch_l1_counts(matrices, self.q, counts, None)
+        except InvalidParameterError:
+            return None
+        return ceil_div(distances, self.factor)
 
 
 def tiered_knn_query(
@@ -83,18 +116,10 @@ def tiered_knn_query(
     profiles serve both tiers).  Returns the same answer as
     :func:`repro.search.knn.knn_query` with that filter.
 
-    With ``matrices``, the cheap ordering tier runs as one matrix pass:
-    ``_count_bound`` is exactly ``⌈L1(branch counts)/factor⌉`` (each node
-    contributes one branch, and counts are the lengths of the positional
-    lists), so the vectorized values — and hence the scan order, stopping
-    point and refined count — are identical to the loop's.
-
-    With ``index`` (a candidate index at ``flt.q``), the cheap tier
-    consumes the index's ascending-BDist stream lazily instead
-    (:class:`~repro.index.ordering.AscendingCountBounds`): the ordering
-    values *are* the count bound, so the scan sequence is the reference
-    one exactly and only the rows optimal stopping reaches are scored.
-    An index at a different q level is ignored.
+    The cheap tier is :func:`~repro.search.ordering.ascending_bounds`
+    over the count bound, with the same ``matrices`` / ``index`` sources
+    as :func:`~repro.search.knn.knn_query` (an index at a level other
+    than ``flt.q`` is ignored) and the reference scan sequence for each.
     """
     if k < 1:
         raise QueryError(f"k must be >= 1, got {k}")
@@ -106,55 +131,14 @@ def tiered_knn_query(
         raise QueryError(f"k={k} exceeds the dataset size {len(trees)}")
     if counter is None:
         counter = EditDistanceCounter()
-    factor = qlevel_bound_factor(flt.q)
     stats = SearchStats(dataset_size=len(trees))
 
-    use_index = index is not None and index.q == flt.q
-    stream = None
-    sink = active_sink()
     with tracing.span(
         "search.tiered_knn", dataset_size=len(trees), k=k, q=flt.q
     ) as root:
         start = time.perf_counter()
-        if use_index:
-            assert index is not None
-            with tracing.span(f"index.{index.kind}"):
-                index.sync()
-                from repro.index.ordering import AscendingCountBounds
-
-                query_signature = flt.signature(query)
-                stream = AscendingCountBounds(index, index.pack(query))
-                scan: Iterable[Tuple[float, int]] = stream
-        else:
-            with tracing.span("filter.count-bound"):
-                query_signature = flt.signature(query)
-                vectorized: Optional[Sequence[float]] = None
-                if matrices is not None:
-                    try:
-                        counts = {
-                            branch: len(positions)
-                            for branch, positions in (
-                                query_signature.pre_positions.items()
-                            )
-                        }
-                        vectorized = ceil_div(
-                            branch_l1_counts(matrices, flt.q, counts, None),
-                            factor,
-                        )
-                    except InvalidParameterError:
-                        vectorized = None
-                if vectorized is not None:
-                    cheap: Sequence[float] = vectorized
-                    order = stable_order(vectorized)
-                else:
-                    cheap = [
-                        _count_bound(query_signature, flt.data_signature(row), factor)
-                        for row in range(len(trees))
-                    ]
-                    order = sorted(
-                        range(len(trees)), key=lambda row: (cheap[row], row)
-                    )
-                scan = ((cheap[row], row) for row in order)
+        scan = ascending_bounds(_CountTier(flt), query, len(trees), matrices, index)
+        query_signature = scan.signature
         stats.filter_seconds = time.perf_counter() - start
 
         heap: List[Tuple[float, int]] = []  # (-distance, -index) max-heap
@@ -190,18 +174,10 @@ def tiered_knn_query(
         stats.results = len(heap)
         root.set(candidates=refined, results=len(heap))
 
+    sink = active_sink()
     if sink is not None or tracing.enabled():
-        if stream is not None:
-            assert index is not None
-            ordered = stream.scored
-            order_stage = FunnelStage(
-                f"index:{index.kind}", len(trees), ordered, stats.filter_seconds
-            )
-        else:
-            ordered = len(trees)
-            order_stage = FunnelStage(
-                "order:count-bound", len(trees), ordered, stats.filter_seconds
-            )
+        order_stage = scan.stage(stats.filter_seconds)
+        ordered = order_stage.survivors
         stats.funnel = FilterFunnel(
             kind="tiered_knn",
             corpus_size=len(trees),

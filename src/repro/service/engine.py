@@ -55,10 +55,10 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
-from repro.exceptions import InvalidParameterError, QueryError
+from repro.exceptions import QueryError
 from repro.obs import tracing
 from repro.search.database import TreeDatabase
 from repro.search.knn import knn_query
@@ -67,9 +67,6 @@ from repro.search.statistics import SearchStats
 from repro.service.metrics import ServiceMetrics
 from repro.trees.node import TreeNode
 from repro.trees.parse import to_bracket
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.index.base import CandidateIndex
 
 __all__ = ["QueryRequest", "TreeSearchService"]
 
@@ -236,14 +233,15 @@ class TreeSearchService:
         Optional externally owned :class:`ServiceMetrics` (e.g. one shared
         by several services); a private instance is created by default.
     candidate_source:
-        How the filter stage generates candidates: ``"loop"`` — the pure
-        per-candidate reference path; ``"vectorized"`` — corpus-level
-        matrix kernels (requires a feature-store-backed database, raises
-        otherwise); ``"vptree"`` / ``"ifi"`` — sublinear candidate
-        generation through a :mod:`repro.index` metric index
-        (VP-tree / extended inverted file; both require a feature store),
-        with the vectorized cascade running over the index's candidate
-        ball; ``"auto"`` (default) — vectorized when the database has a
+        How the filter stage generates candidates, resolved by
+        :meth:`TreeDatabase.resolve_candidate_source`: ``"loop"`` — the
+        filter cascade run row by row (``matrices=None``);
+        ``"vectorized"`` — the same cascade over corpus-level matrix
+        kernels (requires a feature-store-backed database, raises
+        otherwise); ``"vptree"`` / ``"ifi"`` — a :mod:`repro.index`
+        metric index probe (VP-tree / extended inverted file; both
+        require a feature store) as the cascade's leading stage;
+        ``"auto"`` (default) — vectorized when the database has a
         feature store, loop otherwise.  Answers are bit-identical across
         all sources and refined counts never exceed the vectorized path's
         (pinned by the ``search:vectorized-equivalence`` and
@@ -261,30 +259,11 @@ class TreeSearchService:
     ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
-
-        if candidate_source not in CANDIDATE_SOURCES:
-            raise ValueError(
-                f"candidate_source must be one of {CANDIDATE_SOURCES}, "
-                f"got {candidate_source!r}"
-            )
         self.database = database
         self.candidate_source = candidate_source
-        self._index: Optional["CandidateIndex"] = None
-        if candidate_source == "loop":
-            self._matrices = None
-        else:
-            self._matrices = database.matrices()
-            if self._matrices is None and candidate_source != "auto":
-                raise InvalidParameterError(
-                    f"candidate_source={candidate_source!r} requires a "
-                    "database backed by a feature store (store-less "
-                    "prefitted filters have no matrix planes)"
-                )
-            if candidate_source in INDEX_KINDS:
-                # built eagerly so the first query does not pay for it
-                # inside the read lock; queries re-sync as needed
-                self._index = database.candidate_index(candidate_source)
+        self._matrices, self._index = database.resolve_candidate_source(
+            candidate_source
+        )
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.max_workers = max_workers
         self._cache = _ResultCache(cache_size)
@@ -477,28 +456,22 @@ class TreeSearchService:
                     self._index.sync()
                 finally:
                     self._rwlock.release_write()
+            search, parameter = (
+                (range_query, request.threshold)
+                if request.kind == "range"
+                else (knn_query, request.k)
+            )
             self._rwlock.acquire_read()
             try:
-                if request.kind == "range":
-                    matches, stats = range_query(
-                        self.database.trees,
-                        request.query,
-                        request.threshold,
-                        self.database.filter,
-                        counter,
-                        matrices=self._matrices,
-                        index=self._index,
-                    )
-                else:
-                    matches, stats = knn_query(
-                        self.database.trees,
-                        request.query,
-                        request.k,
-                        self.database.filter,
-                        counter,
-                        matrices=self._matrices,
-                        index=self._index,
-                    )
+                matches, stats = search(
+                    self.database.trees,
+                    request.query,
+                    parameter,
+                    self.database.filter,
+                    counter,
+                    matrices=self._matrices,
+                    index=self._index,
+                )
                 generation = self.database.generation
             finally:
                 self._rwlock.release_read()

@@ -51,6 +51,7 @@ from repro.index import CANDIDATE_SOURCES, INDEX_KINDS
 from repro.obs import tracing
 from repro.obs.funnel import FilterFunnel, FunnelStage, active_sink
 from repro.search.database import TreeDatabase
+from repro.search.range_query import check_threshold
 from repro.search.statistics import SearchStats
 from repro.service.engine import (
     QueryRequest,
@@ -513,8 +514,7 @@ class ShardedTreeService:
         return self._knn(request.query, request.k)
 
     def _range(self, query: TreeNode, threshold: float) -> QueryAnswer:
-        if threshold < 0:
-            raise QueryError(f"range threshold must be >= 0, got {threshold}")
+        check_threshold(threshold)
         bracket = to_bracket(query)
         sink = active_sink()
         want_funnel = sink is not None or tracing.enabled()

@@ -38,9 +38,11 @@ single-process run refines (see ``docs/SHARDING.md``).
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import time
 from multiprocessing.connection import Connection
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.editdist.costs import UNIT_COSTS
 from repro.editdist.zhang_shasha import EditDistanceCounter, PreparedTreeCache
@@ -51,6 +53,7 @@ from repro.filters.histogram import HistogramFilter
 from repro.filters.traversal_string import TraversalStringFilter
 from repro.obs.funnel import collect_funnels
 from repro.search.database import TreeDatabase
+from repro.search.ordering import ascending_bounds
 from repro.search.range_query import range_query
 from repro.sharding.plane import PlaneHandle, SharedFeaturePlane
 from repro.trees.parse import parse_bracket
@@ -80,41 +83,31 @@ _OPS = frozenset(
 class _KnnCursor:
     """Ascending ``(bound, local)`` frontier for one open k-NN query.
 
-    The eager path materializes the whole shard's frontier at
-    ``knn_begin``.  The index path instead holds the lazy
-    :class:`~repro.index.ordering.OrderedBoundStream` iterator and only
-    extends the materialized prefix when the coordinator's global merge
-    actually asks for a deeper window — values and order are the exact
-    reference frontier either way, so the coordinator cannot tell the
-    two apart (and the refined-candidate counts stay bit-identical).
+    Holds the shard's :func:`~repro.search.ordering.ascending_bounds`
+    scan and materializes only the prefix the coordinator's global merge
+    actually asks for — on the index source the scan scores rows lazily
+    off the index stream.  Values and order are the exact reference
+    frontier for every source, so the coordinator cannot tell them apart
+    (and the refined-candidate counts stay bit-identical).
     """
 
-    def __init__(
-        self,
-        query: Any,
-        pairs: List[Tuple[float, int]],
-        stream: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, query: Any, scan: Iterable[Tuple[float, int]]) -> None:
         self.query = query
-        self._pairs = pairs
-        self._stream = stream
+        self._pairs: List[Tuple[float, int]] = []
+        self._stream: Iterator[Tuple[float, int]] = iter(scan)
 
     def window(self, start: int, size: int) -> List[Tuple[float, int]]:
-        while self._stream is not None and len(self._pairs) < start + size:
-            head = next(self._stream, None)
-            if head is None:
-                self._stream = None
-            else:
-                self._pairs.append((float(head[0]), head[1]))
+        missing = start + size - len(self._pairs)
+        if missing > 0:
+            self._pairs.extend(
+                (float(bound), local)
+                for bound, local in itertools.islice(self._stream, missing)
+            )
         return self._pairs[start : start + size]
 
     def drain(self) -> None:
         """Materialize the rest of the frontier (pre-mutation snapshot)."""
-        if self._stream is not None:
-            self._pairs.extend(
-                (float(bound), local) for bound, local in self._stream
-            )
-            self._stream = None
+        self._pairs.extend((float(bound), local) for bound, local in self._stream)
 
 
 class _ShardState:
@@ -128,22 +121,14 @@ class _ShardState:
         store = self.plane.store(payload["vocabulary"])
         flt = self._fit_filter(payload["filter"], store, trees)
         self.db = TreeDatabase(trees, flt=flt, feature_store=store)
-        #: corpus-level matrix planes over the attached store.  The dense
-        #: rows are scattered zero-copy out of the shared-memory columns
-        #: (np.frombuffer over the borrowed memoryviews — no intermediate
-        #: python lists); filters whose kernels need artifacts the plane
-        #: does not carry (histograms) fall back per stage to the loop.
-        source = payload.get("candidate_source", "auto")
-        if source == "loop":
-            self.matrices = None
-        else:
-            self.matrices = store.matrices()
-        #: shard-local candidate index (vptree/ifi sources); built over the
-        #: attached store, so its BDist vectors are the coordinator's rows
-        from repro.index import INDEX_KINDS
-
-        self.index = (
-            self.db.candidate_index(source) if source in INDEX_KINDS else None
+        #: corpus-level matrix planes over the attached store (the dense
+        #: rows are scattered zero-copy out of the shared-memory columns;
+        #: filters whose kernels need artifacts the plane does not carry,
+        #: histograms, fall back per stage to the per-row loop) and the
+        #: shard-local candidate index of the vptree/ifi sources, whose
+        #: BDist vectors are the coordinator's rows
+        self.matrices, self.index = self.db.resolve_candidate_source(
+            payload.get("candidate_source", "auto")
         )
         self.counter = EditDistanceCounter(
             UNIT_COSTS,
@@ -189,23 +174,17 @@ class _ShardState:
         self, bracket: str, threshold: float, want_funnel: bool
     ) -> Dict[str, Any]:
         query = parse_bracket(bracket)
-        stages: Optional[List[Tuple[str, int, int, float]]] = None
-        if want_funnel:
-            with collect_funnels() as sink:
-                matches, stats = range_query(
-                    self.db.trees, query, threshold, self.db.filter,
-                    self.counter, matrices=self.matrices, index=self.index,
-                )
-            funnel = sink.funnels[0]
-            stages = [
-                (stage.name, stage.entered, stage.survivors, stage.seconds)
-                for stage in funnel.stages
-            ]
-        else:
+        with collect_funnels() if want_funnel else contextlib.nullcontext():
             matches, stats = range_query(
                 self.db.trees, query, threshold, self.db.filter,
                 self.counter, matrices=self.matrices, index=self.index,
             )
+        stages: Optional[List[Tuple[str, int, int, float]]] = None
+        if want_funnel and stats.funnel is not None:
+            stages = [
+                (stage.name, stage.entered, stage.survivors, stage.seconds)
+                for stage in stats.funnel.stages
+            ]
         self.stage_seconds["filter"] += stats.filter_seconds
         self.stage_seconds["refine"] += stats.refine_seconds
         return {
@@ -220,43 +199,14 @@ class _ShardState:
     def knn_begin(self, qid: int, bracket: str) -> Dict[str, Any]:
         query = parse_bracket(bracket)
         start = time.perf_counter()
-        flt = self.db.filter
-        use_index = (
-            self.index is not None
-            and flt.bdist_dominant
-            and getattr(flt, "q", None) == self.index.q
+        # exact bounds only: the coordinator's global optimal-stopping
+        # merge compares these values across shards
+        self._knn[qid] = _KnnCursor(
+            query,
+            ascending_bounds(
+                self.db.filter, query, len(self.db), self.matrices, self.index
+            ),
         )
-        if use_index:
-            assert self.index is not None
-            self.index.sync()
-            from repro.index.ordering import OrderedBoundStream
-
-            query_signature = flt.signature(query)
-            stream = OrderedBoundStream(
-                self.index,
-                lambda row: flt.bound(query_signature, flt.data_signature(row)),
-                self.index.pack(query),
-            )
-            self._knn[qid] = _KnnCursor(query, [], iter(stream))
-        else:
-            bounds: Optional[List[float]] = None
-            if self.matrices is not None:
-                # exact vectorized bounds only — the coordinator's global
-                # optimal-stopping merge compares these values across
-                # shards, so an approximation would change refined counts
-                vectorized = flt.lower_bounds_matrix(
-                    flt.signature(query), self.matrices
-                )
-                if vectorized is not None:
-                    bounds = [float(value) for value in vectorized]
-            if bounds is None:
-                bounds = flt.bounds(query)
-            order = sorted(
-                range(len(bounds)), key=lambda index: (bounds[index], index)
-            )
-            self._knn[qid] = _KnnCursor(
-                query, [(float(bounds[local]), local) for local in order]
-            )
         filter_seconds = time.perf_counter() - start
         self.stage_seconds["filter"] += filter_seconds
         return {
@@ -290,9 +240,9 @@ class _ShardState:
             ) from None
 
     def add(self, bracket: str) -> Dict[str, Any]:
-        # open lazy cursors iterate over the candidate index; snapshot
-        # them before the mutation so they keep their begin-time frontier
-        # (matching the eager path's materialize-at-begin semantics)
+        # an open cursor on the index source still reads the candidate
+        # index; snapshot every cursor before the mutation so each keeps
+        # its begin-time frontier
         for cursor in self._knn.values():
             cursor.drain()
         local = self.db.add(parse_bracket(bracket))

@@ -1019,7 +1019,7 @@ class VectorizedEquivalenceOracle(Oracle):
       the loop's refutations, never more, never fewer.
     * **tiered**: :func:`~repro.search.tiered_knn.tiered_knn_query`'s
       cheap ordering tier vectorized vs loop — same neighbours, same
-      refined count (the ⌈L1/factor⌉ ≡ ``_count_bound`` identity).
+      refined count (the ⌈L1/factor⌉ ≡ count-tier bound identity).
     * **sharded**: a :class:`~repro.sharding.coordinator.ShardedTreeService`
       pinned to ``candidate_source="vectorized"`` (planes scattered
       zero-copy from shared memory) against a fresh loop-path reference
